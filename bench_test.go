@@ -840,6 +840,61 @@ func BenchmarkColdRun(b *testing.B) {
 	})
 }
 
+// BenchmarkCovertPooled runs each of the six covert scenarios the way a
+// cold-sweep request does: quick scale, the scenario's own message seed,
+// once at a 4 MiB and once at an 8 MiB LLC. Each run takes the pool-hit
+// path, Machine.Reset on a machine of the same shape; the benchmark holds
+// the two machines itself, so a GC emptying a sim.Pool cannot turn a run
+// into a full assembly. One op is both runs; ms/run is the per-run cost
+// the perfbench trace reports as core.run_ms.<scenario>. BenchmarkColdRun
+// covers PnM alone, which hides the eviction-set baseline's cost.
+func BenchmarkCovertPooled(b *testing.B) {
+	scenarios := []struct {
+		name string
+		seed uint64
+		run  func(*sim.Machine, []bool, core.Options) (core.Result, error)
+	}{
+		{"covert-pnm", 101, core.RunPnM},
+		{"covert-pum", 102, core.RunPuM},
+		{"covert-direct", 103, core.RunDirect},
+		{"covert-drama-clflush", 104, core.RunDRAMAClflush},
+		{"covert-drama-eviction", 105, core.RunDRAMAEviction},
+		{"covert-dma", 106, core.RunDMA},
+	}
+	var cfgs []sim.Config
+	for _, llc := range []int{4 << 20, 8 << 20} {
+		cfg := sim.DefaultConfig()
+		cfg.LLCBytes = llc
+		cfgs = append(cfgs, cfg)
+	}
+	machines := make([]*sim.Machine, len(cfgs))
+	for i, cfg := range cfgs {
+		m, err := sim.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		machines[i] = m
+	}
+	for _, sc := range scenarios {
+		b.Run(sc.name, func(b *testing.B) {
+			msg := core.RandomMessage(figures.ScaleQuick.Bits(), sc.seed)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, m := range machines {
+					if !m.Reset(cfgs[j]) {
+						b.Fatal("Reset refused the machine's own shape")
+					}
+					if _, err := sc.run(m, msg, core.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			perRun := b.Elapsed() / time.Duration(b.N*len(machines))
+			b.ReportMetric(float64(perRun)/1e6, "ms/run")
+		})
+	}
+}
+
 // BenchmarkSweepExpand compares eager grid materialization against the
 // lazy iterator at the synchronous bound (a 64x64 = 4096-run grid):
 // Expand allocates the full Cartesian product of resolved configs, while

@@ -67,7 +67,15 @@ type line struct {
 	epoch uint32
 	dirty bool
 	rrpv  uint8
+	// sharers is the core-valid mask of a shared inclusive cache: bit i
+	// is set once core i's private levels filled or hit this line through
+	// Port(i). It sits in what was struct padding, so a line stays 24
+	// bytes.
+	sharers uint16
 }
+
+// MaxSharers is the number of cores a shared cache's sharer mask can track.
+const MaxSharers = 16
 
 // Config describes one cache level.
 type Config struct {
@@ -100,7 +108,12 @@ type Cache struct {
 	counters *stats.Counters
 	tick     int64  // logical use counter for LRU ordering
 	epoch    uint32 // current validity epoch; lines match it or are invalid
-	onEvict  func(addr uint64)
+	onEvict  func(addr uint64, sharers uint16)
+	// orphans holds the cores that may still hold a private copy of a
+	// line this cache dropped without an eviction (Invalidate, FlushAll).
+	// Such a copy has no sharer bit to find it by, so every eviction
+	// back-invalidates the orphan cores as well until the next Reset.
+	orphans uint16
 }
 
 // New builds a cache level backed by next. Geometry must be power-of-two.
@@ -179,6 +192,14 @@ func setBits(sets int) int {
 //
 //impact:hotpath
 func (c *Cache) Access(now int64, addr uint64, write bool) int64 {
+	return c.access(now, addr, write, 0)
+}
+
+// access serves a load or store on behalf of the cores in sharer, which
+// join the served line's sharer mask.
+//
+//impact:hotpath
+func (c *Cache) access(now int64, addr uint64, write bool, sharer uint16) int64 {
 	c.tick++
 	set := c.SetIndex(addr)
 	tag := c.tagOf(addr)
@@ -190,6 +211,7 @@ func (c *Cache) Access(now int64, addr uint64, write bool) int64 {
 			if write {
 				ways[i].dirty = true
 			}
+			ways[i].sharers |= sharer
 			return c.cfg.Latency
 		}
 	}
@@ -214,10 +236,10 @@ func (c *Cache) Access(now int64, addr uint64, write bool) int64 {
 			// Inclusive-hierarchy back-invalidation: dropping a line
 			// from this level removes it from the levels above, which
 			// is what makes eviction-set attacks on the LLC work.
-			c.onEvict(wbAddr)
+			c.onEvict(wbAddr, ways[victim].sharers|c.orphans)
 		}
 	}
-	ways[victim] = line{tag: tag, epoch: c.epoch, dirty: write, lastUse: c.tick, rrpv: srripMax - 1}
+	ways[victim] = line{tag: tag, epoch: c.epoch, dirty: write, lastUse: c.tick, rrpv: srripMax - 1, sharers: sharer}
 	return c.cfg.Latency + fill
 }
 
@@ -229,36 +251,43 @@ func (c *Cache) touch(l *line) {
 	l.rrpv = 0
 }
 
-// selectVictim picks the way to evict in a full set.
+// selectVictim picks the way to evict: the first invalid way, else the
+// policy's choice among the valid ones.
 //
 //impact:hotpath
 func (c *Cache) selectVictim(ways []line) int {
-	for i := range ways {
-		if ways[i].epoch != c.epoch {
-			return i
-		}
-	}
-	switch c.cfg.Policy {
-	case PolicySRRIP:
-		for {
-			for i := range ways {
-				if ways[i].rrpv >= srripMax {
-					return i
-				}
-			}
-			for i := range ways {
-				ways[i].rrpv++
-			}
-		}
-	default: // LRU
+	if c.cfg.Policy == PolicySRRIP {
+		// SRRIP ages every way until one reaches srripMax and evicts the
+		// first such way. Aging preserves the RRPV order, so that way is
+		// the first with the highest RRPV, and the sweeps add srripMax-max
+		// to every way: one pass finds the victim, a second ages.
 		victim := 0
-		for i := 1; i < len(ways); i++ {
-			if ways[i].lastUse < ways[victim].lastUse {
+		for i := range ways {
+			if ways[i].epoch != c.epoch {
+				return i
+			}
+			if ways[i].rrpv > ways[victim].rrpv {
 				victim = i
+			}
+		}
+		if age := srripMax - ways[victim].rrpv; age > 0 {
+			for i := range ways {
+				ways[i].rrpv += age
 			}
 		}
 		return victim
 	}
+	// LRU.
+	victim := 0
+	for i := range ways {
+		if ways[i].epoch != c.epoch {
+			return i
+		}
+		if ways[i].lastUse < ways[victim].lastUse {
+			victim = i
+		}
+	}
+	return victim
 }
 
 // reconstruct rebuilds a line-aligned address from tag and set.
@@ -268,10 +297,45 @@ func (c *Cache) reconstruct(tag uint64, set int) uint64 {
 	return (tag<<c.setShift | uint64(set)) << c.lineBits
 }
 
-// SetEvictHook installs a callback invoked with the address of every line
-// this cache evicts, enabling inclusive back-invalidation of upper levels.
-func (c *Cache) SetEvictHook(hook func(addr uint64)) {
+// SetEvictHook installs a callback invoked for every line this cache
+// evicts, enabling inclusive back-invalidation of upper levels. It gets the
+// line's address and the cores that may hold a private copy: the line's
+// sharers plus the cache's orphans. Any core outside that mask holds no copy.
+func (c *Cache) SetEvictHook(hook func(addr uint64, sharers uint16)) {
 	c.onEvict = hook
+}
+
+// Port is one core's connection to a shared inclusive cache. Accesses
+// through it add the core to the served line's sharer mask, and Invalidate
+// through it assumes the core's private copies are already gone.
+type Port struct {
+	c   *Cache
+	bit uint16
+}
+
+var _ Level = (*Port)(nil)
+
+// Port returns core's port, or an error when the sharer mask cannot
+// represent core.
+func (c *Cache) Port(core int) (*Port, error) {
+	if core < 0 || core >= MaxSharers {
+		return nil, fmt.Errorf("cache %s: core %d outside the %d-core sharer mask", c.cfg.Name, core, MaxSharers)
+	}
+	return &Port{c: c, bit: 1 << core}, nil
+}
+
+// Access serves a load or store for the port's core.
+//
+//impact:hotpath
+func (p *Port) Access(now int64, addr uint64, write bool) int64 {
+	return p.c.access(now, addr, write, p.bit)
+}
+
+// Invalidate drops addr from the cache on behalf of the port's core, whose
+// private levels the caller has already invalidated, so only the other
+// sharers become orphans.
+func (p *Port) Invalidate(addr uint64) (present, dirty bool) {
+	return p.c.invalidate(addr, p.bit)
 }
 
 // Contains reports whether addr is currently cached at this level.
@@ -287,14 +351,22 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // Invalidate drops addr from this level, returning whether it was present
-// and whether the dropped line was dirty.
+// and whether the dropped line was dirty. The dropped line's sharers become
+// orphans.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
+	return c.invalidate(addr, 0)
+}
+
+// invalidate drops addr, making the line's sharers other than the cores in
+// gone orphans.
+func (c *Cache) invalidate(addr uint64, gone uint16) (present, dirty bool) {
 	set := c.SetIndex(addr)
 	tag := c.tagOf(addr)
 	ways := c.lines[set]
 	for i := range ways {
 		if ways[i].epoch == c.epoch && ways[i].tag == tag {
 			present, dirty = true, ways[i].dirty
+			c.orphans |= ways[i].sharers &^ gone
 			ways[i] = line{}
 			return present, dirty
 		}
@@ -302,11 +374,16 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	return false, false
 }
 
-// FlushAll invalidates every line (used between experiments).
+// FlushAll invalidates every line (used between experiments). The dropped
+// lines' sharers become orphans.
 func (c *Cache) FlushAll() {
 	for s := range c.lines {
 		for w := range c.lines[s] {
-			c.lines[s][w] = line{}
+			l := &c.lines[s][w]
+			if l.epoch == c.epoch {
+				c.orphans |= l.sharers
+			}
+			*l = line{}
 		}
 	}
 }
@@ -316,7 +393,9 @@ func (c *Cache) FlushAll() {
 // line metadata (an 8 MiB LLC holds 128k lines), and the tick and counters
 // restart from zero so a pooled machine replays accesses exactly like a
 // fresh one. On the (4-billion-reset) epoch wraparound the lines really
-// are cleared, so stale stamps can never alias back to validity.
+// are cleared, so stale stamps can never alias back to validity. Reset
+// also forgets the orphans, so a shared cache must be reset together with
+// every private level above it.
 func (c *Cache) Reset() {
 	c.epoch++
 	if c.epoch == 0 {
@@ -324,6 +403,7 @@ func (c *Cache) Reset() {
 		c.epoch = 1
 	}
 	c.tick = 0
+	c.orphans = 0
 	c.counters.Reset()
 }
 

@@ -7,7 +7,10 @@ import "fmt"
 // with optional IP-stride (L1) and streamer (L2) prefetchers.
 type Hierarchy struct {
 	l1, l2, llc *Cache
-	backend     Level
+	// llcPort is this hierarchy's core's port into the LLC: the L2 fills
+	// through it and Flush invalidates through it.
+	llcPort *Port
+	backend Level
 
 	ipStride *IPStridePrefetcher
 	streamer *StreamerPrefetcher
@@ -55,15 +58,20 @@ func NewHierarchy(cfg HierarchyConfig, backend Level) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("llc: %w", err)
 	}
-	return NewHierarchySharedLLC(cfg, llc, backend)
+	return NewHierarchySharedLLC(cfg, llc, 0, backend)
 }
 
-// NewHierarchySharedLLC builds private L1/L2 levels over an existing
+// NewHierarchySharedLLC builds core's private L1/L2 levels over an existing
 // (shared) LLC, as in the paper's Table 2 system where four cores share the
-// last-level cache. backend is the memory level below the LLC, needed for
-// clflush writebacks.
-func NewHierarchySharedLLC(cfg HierarchyConfig, llc *Cache, backend Level) (*Hierarchy, error) {
-	l2, err := New(cfg.L2, llc)
+// last-level cache. The L2 reaches the LLC through the core's Port, so the
+// LLC's sharer masks record the core's copies. backend is the memory level
+// below the LLC, needed for clflush writebacks.
+func NewHierarchySharedLLC(cfg HierarchyConfig, llc *Cache, core int, backend Level) (*Hierarchy, error) {
+	port, err := llc.Port(core)
+	if err != nil {
+		return nil, err
+	}
+	l2, err := New(cfg.L2, port)
 	if err != nil {
 		return nil, fmt.Errorf("l2: %w", err)
 	}
@@ -71,7 +79,7 @@ func NewHierarchySharedLLC(cfg HierarchyConfig, llc *Cache, backend Level) (*Hie
 	if err != nil {
 		return nil, fmt.Errorf("l1: %w", err)
 	}
-	h := &Hierarchy{l1: l1, l2: l2, llc: llc, backend: backend, FlushOverhead: 20}
+	h := &Hierarchy{l1: l1, l2: l2, llc: llc, llcPort: port, backend: backend, FlushOverhead: 20}
 	if cfg.EnablePrefetchers {
 		h.ipStride = NewIPStridePrefetcher(64)
 		h.streamer = NewStreamerPrefetcher(16, 2)
@@ -118,15 +126,13 @@ func (h *Hierarchy) Store(now int64, addr uint64, pc uint64) int64 {
 // serialization overhead — this is the "write-back latency on the critical
 // path" cost the paper identifies for specialized flush instructions.
 func (h *Hierarchy) Flush(now int64, addr uint64) int64 {
-	lat := h.FlushOverhead
-	dirty := false
-	for _, c := range []*Cache{h.l1, h.l2, h.llc} {
-		lat += c.Config().Latency
-		if present, d := c.Invalidate(addr); present && d {
-			dirty = true
-		}
-	}
-	if dirty {
+	lat := h.FlushOverhead + h.l1.cfg.Latency + h.l2.cfg.Latency + h.llc.cfg.Latency
+	_, d1 := h.l1.Invalidate(addr)
+	_, d2 := h.l2.Invalidate(addr)
+	// The private levels go first, so the LLC drop orphans only the
+	// other cores' copies.
+	_, d3 := h.llcPort.Invalidate(addr)
+	if d1 || d2 || d3 {
 		lat += h.backend.Access(now+lat, addr, true)
 	}
 	return lat

@@ -82,7 +82,7 @@ func TestHierarchyEvictionSetProperties(t *testing.T) {
 func TestHierarchyEvictionSetDisplacesTarget(t *testing.T) {
 	h, _ := testHierarchy(t, false)
 	// Wire inclusive back-invalidation as the machine does.
-	h.LLC().SetEvictHook(func(addr uint64) {
+	h.LLC().SetEvictHook(func(addr uint64, _ uint16) {
 		h.L1().Invalidate(addr)
 		h.L2().Invalidate(addr)
 	})
@@ -107,11 +107,11 @@ func TestHierarchySharedLLC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := NewHierarchySharedLLC(cfg, llc, mem)
+	h1, err := NewHierarchySharedLLC(cfg, llc, 0, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := NewHierarchySharedLLC(cfg, llc, mem)
+	h2, err := NewHierarchySharedLLC(cfg, llc, 1, mem)
 	if err != nil {
 		t.Fatal(err)
 	}

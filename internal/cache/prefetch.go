@@ -30,7 +30,8 @@ func (p *IPStridePrefetcher) Observe(pc, addr uint64) (uint64, bool) {
 		if len(p.entries) >= p.max {
 			// Simple capacity management: drop the table. Real designs
 			// use per-set replacement; the noise behaviour is equivalent.
-			p.entries = make(map[uint64]*strideEntry, p.max)
+			// Clearing in place keeps the map's storage.
+			clear(p.entries)
 		}
 		p.entries[pc] = &strideEntry{lastAddr: addr}
 		return 0, false
@@ -81,7 +82,7 @@ func (p *StreamerPrefetcher) Observe(addr uint64) []uint64 {
 	lineOff := (addr >> lineBits) & ((1 << (pageBits - lineBits)) - 1)
 	last, ok := p.streams[page]
 	if len(p.streams) >= p.max && !ok {
-		p.streams = make(map[uint64]uint64, p.max)
+		clear(p.streams)
 	}
 	p.streams[page] = lineOff
 	if !ok || lineOff != last+1 {

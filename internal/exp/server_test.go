@@ -188,6 +188,7 @@ func TestServerErrors(t *testing.T) {
 		{"unknown spec field", http.MethodPost, "/v1/run", `{"scenario": "rowbuffer", "grids": {}}`, http.StatusBadRequest, "grids"},
 		{"unknown scenario", http.MethodPost, "/v1/run", `{"scenario": "covert-warp"}`, http.StatusNotFound, "covert-warp"},
 		{"invalid config", http.MethodPost, "/v1/run", `{"scenario": "covert-pnm", "config": {"cores": 0}}`, http.StatusBadRequest, "cores"},
+		{"cores beyond sharer mask", http.MethodPost, "/v1/run", `{"scenario": "covert-pnm", "config": {"cores": 100000}}`, http.StatusBadRequest, `\"cores\": must be \u003c= 16`},
 		{"config on figure replay", http.MethodPost, "/v1/run", `{"scenario": "rowbuffer", "config": {"cores": 2}}`, http.StatusBadRequest, "ignores sim.Config"},
 		{"wrong method", http.MethodGet, "/v1/run", "", http.StatusMethodNotAllowed, ""},
 	}

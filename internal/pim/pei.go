@@ -62,37 +62,168 @@ type PEIResult struct {
 // cached, so the PEI executes host-side; a miss routes it near memory. The
 // IMPACT attackers deliberately touch fresh cache lines each batch to force
 // memory-side execution.
+//
+// The monitor is a fully associative LRU tag cache built from fixed arrays.
+// An open-addressed tag table (linear probing, backward-shift deletion)
+// maps a tag to its entry, and an intrusive doubly linked list threads the
+// entries from most to least recently touched, so a hit, a fill and an
+// eviction each cost O(1) with no Go map on the path.
 type LocalityMonitor struct {
-	entries map[uint64]int64
-	max     int
-	tick    int64
+	// slots is the tag table: a slot holds entry index + 1, or 0 when empty.
+	slots     []int32
+	slotMask  uint64
+	hashShift uint
+	// tags, prev and next are indexed by entry; prev/next link the LRU
+	// list, with -1 ending it at either side.
+	tags       []uint64
+	prev, next []int32
+	head, tail int32 // most and least recently touched entries
+	used       int32 // entries handed out so far (they are never freed)
 }
 
-// NewLocalityMonitor returns a monitor tracking up to max cache-line tags.
+// NewLocalityMonitor returns a monitor tracking up to max cache-line tags
+// (at least one).
 func NewLocalityMonitor(max int) *LocalityMonitor {
-	return &LocalityMonitor{entries: make(map[uint64]int64, max), max: max}
+	if max < 1 {
+		max = 1
+	}
+	// A table of at least twice the capacity keeps the load factor at or
+	// below 1/2, so probe chains stay short.
+	bits := uint(1)
+	for 1<<bits < 2*max {
+		bits++
+	}
+	m := &LocalityMonitor{
+		slots:     make([]int32, 1<<bits),
+		slotMask:  1<<bits - 1,
+		hashShift: 64 - bits,
+		tags:      make([]uint64, max),
+		prev:      make([]int32, max),
+		next:      make([]int32, max),
+	}
+	m.Reset()
+	return m
+}
+
+// Reset empties the monitor, returning it to its just-constructed state.
+func (m *LocalityMonitor) Reset() {
+	clear(m.slots)
+	m.head, m.tail, m.used = -1, -1, 0
 }
 
 // Observe records a touch of the cache line containing addr and returns
-// whether the line was already being tracked (= high locality).
+// whether the line was already being tracked (= high locality). On a miss
+// with the monitor full it evicts the least recently touched tag.
+//
+//impact:hotpath
 func (m *LocalityMonitor) Observe(addr uint64) bool {
 	const lineBits = 6
 	tag := addr >> lineBits
-	m.tick++
-	_, hit := m.entries[tag]
-	if !hit && len(m.entries) >= m.max {
-		// Evict the oldest entry.
-		var oldTag uint64
-		oldTick := m.tick + 1
-		for t, when := range m.entries {
-			if when < oldTick {
-				oldTick, oldTag = when, t
+	slot, e := m.find(tag)
+	if e >= 0 {
+		if e != m.head {
+			m.unlink(e)
+			m.pushFront(e)
+		}
+		return true
+	}
+	if int(m.used) < len(m.tags) {
+		e = m.used
+		m.used++
+	} else {
+		e = m.tail
+		m.unlink(e)
+		old, _ := m.find(m.tags[e])
+		m.deleteSlot(old)
+		// Deletion may shorten the new tag's probe chain: probe again.
+		slot, _ = m.find(tag)
+	}
+	m.tags[e] = tag
+	m.slots[slot] = e + 1
+	m.pushFront(e)
+	return false
+}
+
+// home returns the tag's preferred slot (Fibonacci hashing).
+//
+//impact:hotpath
+func (m *LocalityMonitor) home(tag uint64) uint64 {
+	return (tag * 0x9e3779b97f4a7c15) >> m.hashShift
+}
+
+// find probes for tag. It returns the slot holding tag and its entry, or
+// the empty slot that ends the probe chain and -1.
+//
+//impact:hotpath
+func (m *LocalityMonitor) find(tag uint64) (uint64, int32) {
+	i := m.home(tag)
+	for {
+		s := m.slots[i]
+		if s == 0 {
+			return i, -1
+		}
+		if m.tags[s-1] == tag {
+			return i, s - 1
+		}
+		i = (i + 1) & m.slotMask
+	}
+}
+
+// deleteSlot empties slot i and shifts later members of its probe chain
+// back, so every remaining tag stays reachable from its home slot without
+// tombstones.
+//
+//impact:hotpath
+func (m *LocalityMonitor) deleteSlot(i uint64) {
+	j := i
+	for {
+		m.slots[i] = 0
+		for {
+			j = (j + 1) & m.slotMask
+			s := m.slots[j]
+			if s == 0 {
+				return
+			}
+			// The entry at j may fill the hole at i only if its home
+			// does not lie cyclically in (i, j].
+			h := m.home(m.tags[s-1])
+			if (j-h)&m.slotMask >= (j-i)&m.slotMask {
+				m.slots[i] = s
+				i = j
+				break
 			}
 		}
-		delete(m.entries, oldTag)
 	}
-	m.entries[tag] = m.tick
-	return hit
+}
+
+// unlink removes entry e from the LRU list.
+//
+//impact:hotpath
+func (m *LocalityMonitor) unlink(e int32) {
+	p, n := m.prev[e], m.next[e]
+	if p >= 0 {
+		m.next[p] = n
+	} else {
+		m.head = n
+	}
+	if n >= 0 {
+		m.prev[n] = p
+	} else {
+		m.tail = p
+	}
+}
+
+// pushFront makes entry e the most recently touched.
+//
+//impact:hotpath
+func (m *LocalityMonitor) pushFront(e int32) {
+	m.prev[e], m.next[e] = -1, m.head
+	if m.head >= 0 {
+		m.prev[m.head] = e
+	} else {
+		m.tail = e
+	}
+	m.head = e
 }
 
 // PEIEngine executes PIM-enabled instructions against a memory controller.
@@ -117,6 +248,15 @@ func NewPEIEngine(ctrl *memctrl.Controller, mapper *dram.AddrMapper, host cache.
 		costs:    costs,
 		counters: stats.NewFixed("host_side", "memory_side"),
 	}
+}
+
+// Reset returns the engine to its just-constructed state over a rebuilt
+// controller and mapper: the locality monitor is emptied and the counters
+// zeroed, reusing their storage. The host path is kept.
+func (e *PEIEngine) Reset(ctrl *memctrl.Controller, mapper *dram.AddrMapper, costs PEICosts) {
+	e.ctrl, e.mapper, e.costs = ctrl, mapper, costs
+	e.monitor.Reset()
+	e.counters.Reset()
 }
 
 // Costs returns the engine's cost constants.

@@ -59,6 +59,13 @@ func NewRowCloneEngine(ctrl *memctrl.Controller, costs RowCloneCosts) *RowCloneE
 	return &RowCloneEngine{ctrl: ctrl, costs: costs, counters: stats.NewFixed("ops", "requests")}
 }
 
+// Reset returns the engine to its just-constructed state over a rebuilt
+// controller, zeroing the counters in place.
+func (e *RowCloneEngine) Reset(ctrl *memctrl.Controller, costs RowCloneCosts) {
+	e.ctrl, e.costs = ctrl, costs
+	e.counters.Reset()
+}
+
 // Costs returns the engine's cost constants.
 func (e *RowCloneEngine) Costs() RowCloneCosts { return e.costs }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"repro/internal/cache"
 )
 
 // FromJSON decodes a Config from JSON, starting from DefaultConfig so a
@@ -38,6 +40,10 @@ func (c Config) ToJSON() ([]byte, error) {
 func (c Config) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf(`sim: field "cores": must be > 0 (got %d)`, c.Cores)
+	}
+	if c.Cores > cache.MaxSharers {
+		// Each LLC line tracks its sharers in a MaxSharers-bit mask.
+		return fmt.Errorf(`sim: field "cores": must be <= %d (got %d)`, cache.MaxSharers, c.Cores)
 	}
 	if c.LLCBytes <= 0 {
 		return fmt.Errorf(`sim: field "llc_bytes": must be > 0 (got %d)`, c.LLCBytes)

@@ -104,6 +104,7 @@ func TestFromJSONErrorsNameFields(t *testing.T) {
 		{"bad enum", `{"mapping": "diagonal"}`, `"mapping"`},
 		{"bad defense", `{"mem": {"defense": "moat"}}`, `"defense"`},
 		{"invalid value", `{"llc_ways": -1}`, `"llc_ways"`},
+		{"cores beyond sharer mask", `{"cores": 17}`, `"cores": must be <= 16`},
 		{"invalid nested", `{"dram": {"row_bytes": 0}}`, `"dram"`},
 		{"act without config", `{"mem": {"defense": "act"}}`, `"act.epoch_cycles"`},
 	}

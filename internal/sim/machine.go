@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/cacti"
@@ -53,8 +54,8 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.llc = llc
 
-	if cfg.Cores < 1 {
-		return nil, fmt.Errorf("sim: need at least one core, got %d", cfg.Cores)
+	if cfg.Cores < 1 || cfg.Cores > cache.MaxSharers {
+		return nil, fmt.Errorf("sim: need 1 to %d cores, got %d", cache.MaxSharers, cfg.Cores)
 	}
 	m.cores = make([]*Core, cfg.Cores)
 	for i := range m.cores {
@@ -68,17 +69,27 @@ func New(cfg Config) (*Machine, error) {
 	// The LLC is inclusive: an LLC eviction back-invalidates the private
 	// L1/L2 copies, which is what lets eviction sets displace another
 	// core's line.
-	llc.SetEvictHook(func(addr uint64) {
-		for _, c := range m.cores {
-			c.hier.L1().Invalidate(addr)
-			c.hier.L2().Invalidate(addr)
-		}
-	})
+	llc.SetEvictHook(m.backInvalidate)
 
 	m.pei = pim.NewPEIEngine(ctrl, mapper, llc, cfg.PEICosts)
 	m.rowClone = pim.NewRowCloneEngine(ctrl, cfg.RowCloneCosts)
 	m.noise = newNoise(m, cfg.Noise)
 	return m, nil
+}
+
+// backInvalidate drops addr from the private L1/L2 of every core in
+// sharers, the only cores that can hold a copy of an evicted LLC line.
+// Invalidating an absent line changes nothing, so skipping the other cores
+// is exact.
+//
+//impact:hotpath
+func (m *Machine) backInvalidate(addr uint64, sharers uint16) {
+	for sharers != 0 {
+		c := m.cores[bits.TrailingZeros16(sharers)]
+		sharers &= sharers - 1
+		c.hier.L1().Invalidate(addr)
+		c.hier.L2().Invalidate(addr)
+	}
 }
 
 // Reset returns the machine to the exact state New(cfg) would produce,
@@ -129,11 +140,9 @@ func (m *Machine) Reset(cfg Config) bool {
 		c.mmu.Reset()
 		c.Reset()
 	}
-	// The tiny engines close over the controller/mapper just rebuilt, so
-	// they are rebuilt rather than reset; their cost is a few map/struct
-	// allocations, not the megabytes the reuse path exists to save.
-	m.pei = pim.NewPEIEngine(m.ctrl, m.mapper, m.llc, cfg.PEICosts)
-	m.rowClone = pim.NewRowCloneEngine(m.ctrl, cfg.RowCloneCosts)
+	// The engines rebind to the controller and mapper just rebuilt.
+	m.pei.Reset(m.ctrl, m.mapper, cfg.PEICosts)
+	m.rowClone.Reset(m.ctrl, cfg.RowCloneCosts)
 	m.noise = newNoise(m, cfg.Noise)
 	return true
 }

@@ -43,6 +43,18 @@ func TestMachineRejectsZeroCores(t *testing.T) {
 	}
 }
 
+func TestMachineRejectsCoresBeyondSharerMask(t *testing.T) {
+	cfg := quietConfig()
+	cfg.Cores = 17
+	if _, err := New(cfg); err == nil {
+		t.Fatal("17 cores accepted with a 16-bit LLC sharer mask")
+	}
+	cfg.Cores = 16
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("16 cores rejected: %v", err)
+	}
+}
+
 func TestCoreClockMonotonic(t *testing.T) {
 	m := newTestMachine(t)
 	c := m.Core(0)

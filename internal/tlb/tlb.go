@@ -5,7 +5,11 @@
 // paper's Sniper setup.
 package tlb
 
-import "repro/internal/stats"
+import (
+	"fmt"
+
+	"repro/internal/stats"
+)
 
 // Fixed counter IDs for MMU statistics, in the slot order passed to
 // stats.NewFixed in DefaultMMU.
@@ -33,25 +37,29 @@ type tlbEntry struct {
 
 // TLB is a set-associative translation cache keyed by virtual page number.
 type TLB struct {
-	cfg   Config
-	sets  int
-	lines [][]tlbEntry
-	tick  int64
+	cfg     Config
+	setMask uint64 // sets-1; the set count is a power of two
+	lines   [][]tlbEntry
+	tick    int64
 }
 
-// New builds a TLB. Entries must be divisible by Ways and sets must be a
-// power of two; the Table 2 L2 TLB (1536 entries, 12-way, 128 sets)
-// satisfies this.
+// New builds a TLB. Entries must be a positive multiple of Ways and the set
+// count Entries/Ways a power of two, so a mask selects the set; the Table 2
+// TLBs (16, 8 and 128 sets) satisfy this. Geometries are fixed in code, so
+// a bad one is a programming error and New panics on it.
 func New(cfg Config) *TLB {
+	if cfg.Ways < 1 || cfg.Entries < cfg.Ways || cfg.Entries%cfg.Ways != 0 {
+		panic(fmt.Sprintf("tlb: %d entries not a positive multiple of %d ways", cfg.Entries, cfg.Ways))
+	}
 	sets := cfg.Entries / cfg.Ways
-	if sets < 1 {
-		sets = 1
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("tlb: set count %d not a power of two", sets))
 	}
 	lines := make([][]tlbEntry, sets)
 	for i := range lines {
 		lines[i] = make([]tlbEntry, cfg.Ways)
 	}
-	return &TLB{cfg: cfg, sets: sets, lines: lines}
+	return &TLB{cfg: cfg, setMask: uint64(sets - 1), lines: lines}
 }
 
 // Lookup probes the TLB for the page containing vaddr, inserting on miss.
@@ -60,7 +68,7 @@ func New(cfg Config) *TLB {
 func (t *TLB) Lookup(vaddr uint64) bool {
 	t.tick++
 	vpn := vaddr >> t.cfg.PageBits
-	set := int(vpn % uint64(t.sets))
+	set := int(vpn & t.setMask)
 	ways := t.lines[set]
 	for i := range ways {
 		if ways[i].valid && ways[i].vpn == vpn {

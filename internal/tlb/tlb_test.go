@@ -91,3 +91,33 @@ func TestMMUFlushAll(t *testing.T) {
 		t.Fatalf("walker invoked %d times, want 8 (two full walks)", walks)
 	}
 }
+
+// TestNewRejectsBadGeometry pins that every TLB New accepts indexes its
+// sets exactly with a mask: the set count must be a power of two and the
+// entries a positive multiple of the ways.
+func TestNewRejectsBadGeometry(t *testing.T) {
+	for _, cfg := range []Config{
+		{Entries: 48, Ways: 4},   // 12 sets
+		{Entries: 1536, Ways: 8}, // 192 sets
+		{Entries: 18, Ways: 4},   // not a multiple of the ways
+		{Entries: 2, Ways: 4},    // fewer entries than ways
+		{Entries: 16, Ways: 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) accepted a bad geometry", cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+	for _, cfg := range []Config{
+		{Entries: 64, Ways: 4},    // Table 2 L1 DTLB, 4 KiB: 16 sets
+		{Entries: 32, Ways: 4},    // Table 2 L1 DTLB, 2 MiB: 8 sets
+		{Entries: 1536, Ways: 12}, // Table 2 L2 TLB: 128 sets
+		{Entries: 4, Ways: 4},     // fully associative
+	} {
+		New(cfg)
+	}
+}
