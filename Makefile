@@ -49,7 +49,7 @@ race:
 	$(GO) test -race ./internal/figures -run TestRunParallelMatchesSequential
 	$(GO) test -race ./internal/metrics
 	$(GO) test -race ./internal/sim
-	$(GO) test -race ./internal/exp -run 'TestEngineCacheAndDeterminism|TestServerRunCacheHit|TestCacheCompute|TestConcurrentIdenticalRuns|TestJob|TestStore|TestJournal|TestGraceful|TestCrash|TestCancelBeats|TestRunPanic|TestPooledSweepParallelDeterminism|TestStreamingSweepMemoryBoundTrimmed'
+	$(GO) test -race ./internal/exp -run 'TestEngineCacheAndDeterminism|TestServerRunCacheHit|TestCacheCompute|TestConcurrentIdenticalRuns|TestJob|TestStore|TestJournal|TestGraceful|TestCrash|TestCancelBeats|TestRunPanic|TestPooledSweepParallelDeterminism|TestExpansionConcurrentRunAt|TestStreamingSweepMemoryBoundTrimmed'
 	$(GO) test -race ./internal/exp/fsio
 	$(GO) test -race ./internal/exp/pack
 	$(GO) test -race ./internal/cluster
@@ -59,16 +59,18 @@ race:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkCacheAccess|BenchmarkBankAccess' -benchtime 100x -benchmem .
 
-# Cold-path round-2 regressions: pooled-machine determinism (Machine.Reset
-# must be provably state-free, sequentially and under 8-way contention),
-# lazy-vs-eager expansion equivalence, the overflow-safe grid guard, a
-# trimmed streaming memory-bound run, and the >= 2x pooled cold-run
-# speedup pin. The full 10^5-run memory bound runs in `make test`
-# (it is testing.Short-gated, not smoke-gated).
+# Cold-path regressions: pooled-machine determinism (Machine.Reset must
+# be provably state-free, sequentially and under 8-way contention), typed
+# spec keys identical to the reference document pipeline, the overflow-
+# safe grid guard, a trimmed streaming memory-bound run, the >= 2x pooled
+# cold-run speedup pin, and the typed key path's allocs/run pinned at no
+# more than half the reference's. The full 10^5-run memory bound runs in
+# `make test` (it is testing.Short-gated, not smoke-gated).
 coldpath-smoke:
-	$(GO) test ./internal/exp -count=1 -run 'TestPooledMachineDeterminism|TestExpansionMatchesExpand|TestGridTooLarge|TestServerGridTooLarge|TestStreamingSweepMemoryBoundTrimmed|TestStreamingMatchesExecute'
+	$(GO) test ./internal/exp -count=1 -run 'TestPooledMachineDeterminism|TestSpecKeysMatchReference|TestSpecResolutionClasses|TestGridTooLarge|TestServerGridTooLarge|TestStreamingSweepMemoryBoundTrimmed|TestStreamingMatchesExecute'
 	$(GO) test -race ./internal/exp -count=1 -run TestPooledSweepParallelDeterminism
 	$(GO) test -run xxx -bench 'BenchmarkColdRun/pooled|BenchmarkSweepExpand/lazy' -benchtime 3x -benchmem .
+	$(GO) test ./internal/exp -run xxx -bench 'BenchmarkSpecKeys/typed' -benchtime 3x -benchmem
 
 bench:
 	$(GO) test -bench . -benchmem .
@@ -114,10 +116,12 @@ objsweep:
 	rm -rf $$tmp
 
 # Short fuzz pass over the pack store's two untrusted-byte decoders
-# (needle frames, index file) on top of the checked-in seed corpus.
+# (needle frames, index file) on top of the checked-in seed corpus, and
+# over typed spec keys against the reference document pipeline.
 fuzz-smoke:
 	$(GO) test ./internal/exp/pack -run xxx -fuzz FuzzDecodeNeedle -fuzztime 5s
 	$(GO) test ./internal/exp/pack -run xxx -fuzz FuzzDecodeIndex -fuzztime 5s
+	$(GO) test ./internal/exp -run xxx -fuzz FuzzSpecKeysMatchReference -fuzztime 5s
 
 # Cluster smoke: three in-process nodes over real listeners, a sweep
 # through one node, a peer partitioned mid-sweep on another — every

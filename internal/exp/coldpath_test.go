@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -119,109 +118,51 @@ func TestPooledSweepParallelDeterminism(t *testing.T) {
 	}
 }
 
-// expansionAxes is the pool of valid grid axes the randomized
-// lazy-vs-eager trials draw from (every path names a real config field
-// and every value passes sim.FromJSON).
-var expansionAxes = []struct {
-	path string
-	vals []string
-}{
-	{"llc_bytes", []string{"2097152", "4194304", "8388608", "16777216"}},
-	{"llc_ways", []string{"8", "16"}},
-	{"costs.flush_overhead", []string{"100", "200", "300"}},
-	{"noise.seed", []string{"1", "2", "3", "4", "5"}},
-	{"noise.events_per_mcycle", []string{"0", "50.5"}},
-	{"mem.defense", []string{`"none"`, `"crp"`}},
-}
-
-// checkExpansionMatchesExpand asserts the lazy iterator reproduces the
-// eager path exactly: same total, same expansion order, same content
-// addresses, same grid-point labels.
-func checkExpansionMatchesExpand(t *testing.T, spec Spec) {
-	t.Helper()
-	runs, err := spec.Expand()
+// TestExpansionConcurrentRunAt drives one Expansion from 8 goroutines —
+// as a job's feeder and its stream readers do — and requires every run to
+// match a sequential RunAt. The grid pairs an object-valued section axis
+// with a path under it, the shape where materializing one point could
+// write into state another point reads. Run under -race in `make race`.
+func TestExpansionConcurrentRunAt(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{"scenario": "covert-pnm", "grid": {
+		"noise": [{"events_per_mcycle": 1.5}, {"events_per_mcycle": 9}],
+		"noise.seed": [1, 2, 3, 4],
+		"llc_bytes": [4194304, 8388608]}}`))
 	if err != nil {
-		t.Fatalf("Expand(%v): %v", spec.Grid, err)
+		t.Fatal(err)
 	}
 	x, err := spec.Expansion(MaxRuns)
 	if err != nil {
-		t.Fatalf("Expansion(%v): %v", spec.Grid, err)
+		t.Fatal(err)
 	}
-	if x.Total() != len(runs) {
-		t.Fatalf("Total() = %d, Expand produced %d runs", x.Total(), len(runs))
-	}
-	for i, want := range runs {
-		got, err := x.RunAt(i)
+	want := make([]string, x.Total())
+	for i := range want {
+		r, err := x.RunAt(i)
 		if err != nil {
-			t.Fatalf("RunAt(%d): %v", i, err)
+			t.Fatal(err)
 		}
-		if got.Key != want.Key {
-			t.Fatalf("run %d: lazy key %s != eager key %s", i, got.Key, want.Key)
-		}
-		if got.Scenario != want.Scenario || got.Scale != want.Scale {
-			t.Fatalf("run %d: identity (%s, %s) != (%s, %s)",
-				i, got.Scenario, got.Scale, want.Scenario, want.Scale)
-		}
-		if FormatParams(got.Params) != FormatParams(want.Params) {
-			t.Fatalf("run %d: params %s != %s", i, FormatParams(got.Params), FormatParams(want.Params))
-		}
+		want[i] = r.Key + " " + FormatParams(r.Params)
 	}
-	for _, bad := range []int{-1, x.Total()} {
-		if _, err := x.RunAt(bad); err == nil {
-			t.Fatalf("RunAt(%d) accepted an out-of-range index", bad)
-		}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 4*x.Total(); n++ {
+				i := (n*7 + g) % x.Total()
+				r, err := x.RunAt(i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := r.Key + " " + FormatParams(r.Params); got != want[i] {
+					t.Errorf("goroutine %d run %d: %s, want %s", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
 	}
-}
-
-// randomGridSpec draws a random spec over the valid axis pool: a random
-// subset of axes (possibly none — the empty grid), each with a random
-// non-empty value subset (often a single value).
-func randomGridSpec(rng *rand.Rand) Spec {
-	spec := Spec{Scenario: "covert-pnm"}
-	if rng.Intn(8) == 0 {
-		return spec // empty grid: exactly one run
-	}
-	spec.Grid = map[string][]json.RawMessage{}
-	for _, ax := range expansionAxes {
-		if rng.Intn(2) == 0 {
-			continue
-		}
-		n := 1 + rng.Intn(len(ax.vals))
-		perm := rng.Perm(len(ax.vals))[:n]
-		vals := make([]json.RawMessage, n)
-		for i, j := range perm {
-			vals[i] = json.RawMessage(ax.vals[j])
-		}
-		spec.Grid[ax.path] = vals
-	}
-	return spec
-}
-
-// TestExpansionMatchesExpand is the lazy-expansion equivalence property
-// over randomized grids, plus the deterministic corners: the empty grid
-// and all-single-value axes.
-func TestExpansionMatchesExpand(t *testing.T) {
-	checkExpansionMatchesExpand(t, Spec{Scenario: "covert-pnm"})
-	checkExpansionMatchesExpand(t, Spec{Scenario: "covert-pum", Grid: map[string][]json.RawMessage{
-		"llc_bytes":   {json.RawMessage("4194304")},
-		"noise.seed":  {json.RawMessage("7")},
-		"mem.defense": {json.RawMessage(`"crp"`)},
-	}})
-	rng := rand.New(rand.NewSource(20250808))
-	for trial := 0; trial < 60; trial++ {
-		checkExpansionMatchesExpand(t, randomGridSpec(rng))
-	}
-}
-
-// FuzzExpansionMatchesExpand fuzzes the same property: any seed's random
-// grid must expand identically through both paths.
-func FuzzExpansionMatchesExpand(f *testing.F) {
-	for _, seed := range []int64{1, 42, 20250808} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		checkExpansionMatchesExpand(t, randomGridSpec(rand.New(rand.NewSource(seed))))
-	})
+	wg.Wait()
 }
 
 // TestGridTooLarge pins the overflow-safe run-count guard: a grid whose

@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"sync"
 
+	"repro/internal/exp/fsio"
 	"repro/internal/figures"
 	"repro/internal/sim"
 	"repro/pkg/api"
@@ -370,7 +371,7 @@ func (e *Engine) executeRun(r Run) (blob json.RawMessage, err error) {
 			err = fmt.Errorf("run panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	if err := failpoint("engine.run"); err != nil {
+	if err := fsio.Failpoint("engine.run"); err != nil {
 		return nil, err
 	}
 	rep, err := r.scn.run(e.pool, r.Config, r.Scale)

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/exp/fsio"
 	"repro/internal/metrics"
 	"repro/pkg/api"
 )
@@ -63,7 +64,7 @@ type Journal struct {
 
 // NewJournal opens (creating if needed) a job journal rooted at dir.
 func NewJournal(dir string) (*Journal, error) {
-	if err := ensureDir(dir); err != nil {
+	if err := fsio.EnsureDir(dir); err != nil {
 		return nil, fmt.Errorf("exp: journal: %v", err)
 	}
 	return &Journal{
@@ -106,10 +107,10 @@ func (jl *Journal) statusPath(id string) string {
 // job at or below seq is announced to a client.
 func (jl *Journal) RecordSeq(seq int) error {
 	err := func() error {
-		if err := failpoint("journal.seq"); err != nil {
+		if err := fsio.Failpoint("journal.seq"); err != nil {
 			return err
 		}
-		return atomicWrite(jl.seqPath(), encodeRecord(journalMagic, []byte(strconv.Itoa(seq))))
+		return fsio.AtomicWrite(jl.seqPath(), fsio.EncodeRecord(journalMagic, []byte(strconv.Itoa(seq))))
 	}()
 	if err != nil {
 		jl.met.Add(journalErrors, 1)
@@ -121,14 +122,14 @@ func (jl *Journal) RecordSeq(seq int) error {
 // RecordSpec persists a job's immutable spec record.
 func (jl *Journal) RecordSpec(id string, spec Spec) error {
 	err := func() error {
-		if err := failpoint("journal.spec"); err != nil {
+		if err := fsio.Failpoint("journal.spec"); err != nil {
 			return err
 		}
 		payload, err := json.Marshal(journalSpec{ID: id, Spec: api.RunSpec(spec)})
 		if err != nil {
 			return err
 		}
-		return atomicWrite(jl.specPath(id), encodeRecord(journalMagic, payload))
+		return fsio.AtomicWrite(jl.specPath(id), fsio.EncodeRecord(journalMagic, payload))
 	}()
 	if err != nil {
 		jl.met.Add(journalErrors, 1)
@@ -141,14 +142,14 @@ func (jl *Journal) RecordSpec(id string, spec Spec) error {
 // watermark, replacing the previous status record atomically.
 func (jl *Journal) RecordStatus(id string, st journalStatus) error {
 	err := func() error {
-		if err := failpoint("journal.status"); err != nil {
+		if err := fsio.Failpoint("journal.status"); err != nil {
 			return err
 		}
 		payload, err := json.Marshal(st)
 		if err != nil {
 			return err
 		}
-		return atomicWrite(jl.statusPath(id), encodeRecord(journalMagic, payload))
+		return fsio.AtomicWrite(jl.statusPath(id), fsio.EncodeRecord(journalMagic, payload))
 	}()
 	if err != nil {
 		jl.met.Add(journalErrors, 1)
@@ -200,7 +201,7 @@ func (jl *Journal) Recover() (seq int, entries []journalEntry) {
 	// the spec-record scan below.
 	fileSeq := 0
 	if data, err := os.ReadFile(jl.seqPath()); err == nil {
-		if payload, ok := decodeRecord(journalMagic, data); ok {
+		if payload, ok := fsio.DecodeRecord(journalMagic, data); ok {
 			if n, err := strconv.Atoi(string(payload)); err == nil && n > 0 {
 				fileSeq = n
 			}
@@ -291,7 +292,7 @@ func (jl *Journal) readSpec(id string) (journalEntry, bool) {
 	if err != nil {
 		return journalEntry{}, false
 	}
-	payload, ok := decodeRecord(journalMagic, data)
+	payload, ok := fsio.DecodeRecord(journalMagic, data)
 	if !ok {
 		return journalEntry{}, false
 	}
@@ -308,7 +309,7 @@ func (jl *Journal) readStatus(id string) (journalStatus, bool) {
 	if err != nil {
 		return journalStatus{}, false
 	}
-	payload, ok := decodeRecord(journalMagic, data)
+	payload, ok := fsio.DecodeRecord(journalMagic, data)
 	if !ok {
 		return journalStatus{}, false
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exp/fsio"
 	"repro/internal/exp/pack"
 )
 
@@ -229,7 +230,7 @@ func TestJournalCorruptSeqFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repaired SEQ: %v", err)
 	}
-	if payload, ok := decodeRecord(journalMagic, data); !ok || string(payload) != "7" {
+	if payload, ok := fsio.DecodeRecord(journalMagic, data); !ok || string(payload) != "7" {
 		t.Fatalf("repaired SEQ = %q (ok=%v), want 7", payload, ok)
 	}
 }
@@ -290,7 +291,7 @@ func TestCrashAtEveryWriteBoundary(t *testing.T) {
 	for _, be := range backends {
 		disarm := func() {
 			for _, name := range be.boundaries {
-				setFailpoint(name, nil)
+				fsio.SetFailpoint(name, nil)
 			}
 		}
 		for k, crashAt := range be.boundaries {
@@ -301,7 +302,7 @@ func TestCrashAtEveryWriteBoundary(t *testing.T) {
 				// Process one: crash (fail all writes) from boundary k onward.
 				injected := errors.New("injected crash")
 				for _, name := range be.boundaries[k:] {
-					setFailpoint(name, func() error { return injected })
+					fsio.SetFailpoint(name, func() error { return injected })
 				}
 				defer disarm()
 				store1, store1Errors := be.open(t, dir)
@@ -615,8 +616,8 @@ func TestRunPanicBecomesFailedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulating sweeps in -short mode")
 	}
-	setFailpoint("engine.run", func() error { panic("injected simulator panic") })
-	defer setFailpoint("engine.run", nil)
+	fsio.SetFailpoint("engine.run", func() error { panic("injected simulator panic") })
+	defer fsio.SetFailpoint("engine.run", nil)
 
 	eng := NewEngine()
 	js := NewJobs(eng, 2, 0, nil)
@@ -634,7 +635,7 @@ func TestRunPanicBecomesFailedRun(t *testing.T) {
 
 	// The pool survived: with the panic disarmed, the same registry runs
 	// the next job to completion.
-	setFailpoint("engine.run", nil)
+	fsio.SetFailpoint("engine.run", nil)
 	j2, err := js.Submit(seedSpec(t, 2))
 	if err != nil {
 		t.Fatal(err)

@@ -68,11 +68,18 @@ var ErrGridTooLarge = errors.New("exp: grid too large")
 // (Expand, grid resolution, content addressing) layered on top here so
 // pkg/api stays a pure contract package.
 //
-// Config is a sparse sim.Config document (snake_case JSON tags; see
-// sim.FromJSON) deep-merged over the Table 2 defaults. Grid maps
-// dot-separated config field paths — e.g. "llc_bytes" or "mem.defense" —
-// to the list of values to sweep; the engine expands the Cartesian
-// product of all grid fields into concrete runs.
+// Grid maps dot-separated config field paths — e.g. "llc_bytes" or
+// "mem.defense" — to the list of values to sweep; the engine expands the
+// Cartesian product of all grid fields into concrete runs. Each run's
+// sim.Config is built in layers by one typed decoder (sim.OverlayJSON):
+// the Table 2 defaults, then Config (a sparse JSON object with snake_case
+// tags), then each grid value nested under its path, in sorted path order.
+// A layer overwrites the fields it names, descends into nested objects
+// without touching the section's other fields, and reads null as "change
+// nothing". Hence field names match case-insensitively ("Noise.Seed" sets
+// noise.seed), duplicate keys in Config merge in document order, and an
+// object-valued grid point such as "noise": [{"seed": 5}] keeps Config's
+// other noise overrides.
 type Spec api.RunSpec
 
 // ParseSpec decodes a spec document, rejecting unknown fields so typos
@@ -101,128 +108,84 @@ type Run struct {
 }
 
 // resolve validates the spec's front matter — scenario, scale, config
-// overlay — and returns the pieces expansion needs (shared by the eager
-// Expand and the lazy Expansion).
-func (s Spec) resolve() (scenario, figures.Scale, map[string]any, error) {
+// overlay — and returns the base config every grid point layers onto.
+func (s Spec) resolve() (scenario, figures.Scale, sim.Config, error) {
 	scn, ok := scenarioByName(s.Scenario)
 	if !ok {
-		return scenario{}, 0, nil, fmt.Errorf("%w %q (known: %s)", ErrUnknownScenario, s.Scenario, strings.Join(ScenarioNames(), ", "))
+		return scenario{}, 0, sim.Config{}, fmt.Errorf("%w %q (known: %s)", ErrUnknownScenario, s.Scenario, strings.Join(ScenarioNames(), ", "))
 	}
 	scale, err := figures.ParseScale(s.Scale)
 	if err != nil {
-		return scenario{}, 0, nil, err
+		return scenario{}, 0, sim.Config{}, err
 	}
 	// Figure-replay scenarios build their own fixed machines; accepting
 	// overrides or grids for them would produce runs labeled with
 	// parameters that were never applied.
 	if !scn.ConfigSensitive && (len(s.Config) > 0 || len(s.Grid) > 0) {
-		return scenario{}, 0, nil, fmt.Errorf("exp: scenario %q replays a fixed paper artifact and ignores sim.Config; drop the config/grid fields", s.Scenario)
+		return scenario{}, 0, sim.Config{}, fmt.Errorf("exp: scenario %q replays a fixed paper artifact and ignores sim.Config; drop the config/grid fields", s.Scenario)
 	}
 
-	base, err := defaultConfigDoc()
-	if err != nil {
-		return scenario{}, 0, nil, err
-	}
+	cfg := sim.DefaultConfig()
 	if len(s.Config) > 0 {
-		patch, err := decodeDoc(s.Config)
-		if err != nil {
-			return scenario{}, 0, nil, fmt.Errorf(`exp: spec field "config": %v`, err)
+		// The typed decoder reads null as "change nothing"; a spec's
+		// config must still be an object.
+		if doc := bytes.TrimLeft(s.Config, " \t\r\n"); len(doc) == 0 || doc[0] != '{' {
+			return scenario{}, 0, sim.Config{}, fmt.Errorf(`exp: spec field "config": want a JSON object, got %s`, s.Config)
 		}
-		deepMerge(base, patch)
+		if err := cfg.OverlayJSON(bytes.NewReader(s.Config)); err != nil {
+			return scenario{}, 0, sim.Config{}, fmt.Errorf(`exp: spec field "config": %v`, err)
+		}
 	}
-	return scn, scale, base, nil
+	return scn, scale, cfg, nil
 }
 
 // Expand resolves the spec into concrete runs: grid fields are sorted
 // lexicographically and the Cartesian product is walked row-major (last
 // field fastest), so expansion order — and therefore sweep output — is a
-// pure function of the spec.
+// pure function of the spec. It is Expansion(MaxRuns) materialized.
 func (s Spec) Expand() ([]Run, error) {
-	scn, scale, base, err := s.resolve()
+	x, first, err := s.expansion(MaxRuns)
 	if err != nil {
 		return nil, err
 	}
-
-	// Sort the grid fields before validating them, so which error a bad
-	// spec gets back is as deterministic as the expansion itself.
-	paths := make([]string, 0, len(s.Grid))
-	for path := range s.Grid {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	total := 1
-	for _, path := range paths {
-		vals := s.Grid[path]
-		if len(vals) == 0 {
-			return nil, fmt.Errorf(`exp: grid field %q has no values`, path)
-		}
-		// Guard the product before multiplying: total*len(vals) could
-		// overflow int on an adversarial grid, and the quotient form
-		// cannot (len(vals) >= 1, so the division is always defined).
-		if total > MaxRuns/len(vals) {
-			return nil, fmt.Errorf("%w: grid expands to more than %d runs", ErrGridTooLarge, MaxRuns)
-		}
-		total *= len(vals)
-	}
-
-	runs := make([]Run, 0, total)
-	for idx := 0; idx < total; idx++ {
-		cfgDoc := deepCopy(base)
-		params := make(map[string]string, len(paths))
-		stride := total
-		for _, path := range paths {
-			vals := s.Grid[path]
-			stride /= len(vals)
-			raw := vals[(idx/stride)%len(vals)]
-			val, err := decodeValue(raw)
-			if err != nil {
-				return nil, fmt.Errorf("exp: grid field %q: %v", path, err)
-			}
-			if err := setPath(cfgDoc, path, val); err != nil {
-				return nil, err
-			}
-			canon, err := json.Marshal(val)
-			if err != nil {
-				return nil, fmt.Errorf("exp: grid field %q: %v", path, err)
-			}
-			params[path] = string(canon)
-		}
-		run, err := newRun(scn, scale, cfgDoc, params)
+	runs := make([]Run, 1, x.total)
+	runs[0] = first
+	for i := 1; i < x.total; i++ {
+		run, err := x.RunAt(i)
 		if err != nil {
-			if len(params) == 0 {
-				return nil, fmt.Errorf("exp: %w", err)
-			}
-			return nil, fmt.Errorf("exp: grid point %s: %w", FormatParams(params), err)
+			return nil, err
 		}
 		runs = append(runs, run)
 	}
 	return runs, nil
 }
 
-// gridAxis is one grid field of an Expansion: its decoded values and their
-// canonical JSON labels, fixed at construction so RunAt never re-parses.
+// gridAxis is one grid field of an Expansion, fixed at construction so
+// RunAt never re-parses: each value as a sparse config document (the
+// value's canonical JSON nested under the path's sections, so
+// "mem.defense" = "crp" is {"mem":{"defense":"crp"}}) and its canonical
+// JSON label, a substring of that document.
 type gridAxis struct {
-	path   string
-	vals   []any
-	labels []string
+	path    string
+	patches []string
+	labels  []string
 }
 
 // Expansion is a lazily expanded spec: RunAt(i) materializes run i on
-// demand in exactly the row-major order Expand uses (sorted grid paths,
-// last field fastest), so run content addresses — and therefore sweep
-// bodies — are byte-identical to the eager path's while a 10^5-run grid
-// never allocates its full Cartesian product. Construction validates
-// everything Expand would: the front matter, every grid value's JSON, and
-// (by probing the first grid point) that the grid paths name real config
-// fields the simulator accepts.
+// demand in row-major order (sorted grid paths, last field fastest), so a
+// 10^5-run grid never allocates its full Cartesian product. Construction
+// validates the front matter and every grid value's JSON, and probes the
+// first grid point, so a grid whose paths misname config fields — which
+// fails identically at every point — fails at submit time rather than at
+// run time.
 //
 // An Expansion is immutable after construction and safe for concurrent
-// RunAt calls: each call deep-copies the base document before applying its
-// grid point.
+// RunAt calls: each call layers its grid point onto its own copy of the
+// base config.
 type Expansion struct {
 	scn   scenario
 	scale figures.Scale
-	base  map[string]any
+	base  sim.Config
 	axes  []gridAxis
 	total int
 }
@@ -230,11 +193,20 @@ type Expansion struct {
 // Expansion resolves the spec into a lazy run iterator bounded by limit
 // (MaxRuns for the synchronous path, MaxJobRuns for jobs).
 func (s Spec) Expansion(limit int) (*Expansion, error) {
+	x, _, err := s.expansion(limit)
+	return x, err
+}
+
+// expansion builds the Expansion and returns the run its probe derived,
+// so Expand does not derive run 0 twice.
+func (s Spec) expansion(limit int) (*Expansion, Run, error) {
 	scn, scale, base, err := s.resolve()
 	if err != nil {
-		return nil, err
+		return nil, Run{}, err
 	}
 
+	// Sort the grid fields before validating them, so which error a bad
+	// spec gets back is as deterministic as the expansion itself.
 	paths := make([]string, 0, len(s.Grid))
 	for path := range s.Grid {
 		paths = append(paths, path)
@@ -246,93 +218,96 @@ func (s Spec) Expansion(limit int) (*Expansion, error) {
 	for _, path := range paths {
 		raws := s.Grid[path]
 		if len(raws) == 0 {
-			return nil, fmt.Errorf(`exp: grid field %q has no values`, path)
+			return nil, Run{}, fmt.Errorf(`exp: grid field %q has no values`, path)
 		}
-		// Same overflow-safe product guard as Expand: divide, never
-		// multiply unchecked.
+		// Guard the product before multiplying: total*len(raws) could
+		// overflow int on an adversarial grid, and the quotient form
+		// cannot (len(raws) >= 1, so the division is always defined).
 		if total > limit/len(raws) {
-			return nil, fmt.Errorf("%w: grid expands to more than %d runs", ErrGridTooLarge, limit)
+			return nil, Run{}, fmt.Errorf("%w: grid expands to more than %d runs", ErrGridTooLarge, limit)
 		}
 		total *= len(raws)
-		ax := gridAxis{path: path, vals: make([]any, len(raws)), labels: make([]string, len(raws))}
+		open, closing := patchFrame(path)
+		ax := gridAxis{path: path, patches: make([]string, len(raws)), labels: make([]string, len(raws))}
 		for i, raw := range raws {
-			val, err := decodeValue(raw)
+			canon, err := canonicalJSON(raw)
 			if err != nil {
-				return nil, fmt.Errorf("exp: grid field %q: %v", path, err)
+				return nil, Run{}, fmt.Errorf("exp: grid field %q: %v", path, err)
 			}
-			canon, err := json.Marshal(val)
-			if err != nil {
-				return nil, fmt.Errorf("exp: grid field %q: %v", path, err)
-			}
-			ax.vals[i] = val
-			ax.labels[i] = string(canon)
+			patch := open + string(canon) + closing
+			ax.patches[i] = patch
+			ax.labels[i] = patch[len(open) : len(patch)-len(closing)]
 		}
 		axes = append(axes, ax)
 	}
 
 	x := &Expansion{scn: scn, scale: scale, base: base, axes: axes, total: total}
-	// Probe the first grid point now: lazy expansion moves setPath and
-	// sim.FromJSON validation from submit time to run time, and a grid
-	// whose paths misname config fields fails identically at every point —
-	// catching it here keeps bad specs failing synchronously, like Expand.
-	if _, err := x.RunAt(0); err != nil {
-		return nil, err
+	first, err := x.RunAt(0)
+	if err != nil {
+		return nil, Run{}, err
 	}
-	return x, nil
+	return x, first, nil
+}
+
+// patchFrame returns the text a grid value is wrapped in to become a
+// sparse config document: `{"mem":{"defense":` and `}}` for "mem.defense".
+func patchFrame(path string) (open, closing string) {
+	var b strings.Builder
+	segs := strings.Split(path, ".")
+	for _, seg := range segs {
+		key, _ := json.Marshal(seg) // a string always encodes
+		b.WriteByte('{')
+		b.Write(key)
+		b.WriteByte(':')
+	}
+	return b.String(), strings.Repeat("}", len(segs))
 }
 
 // Total returns the number of runs the spec expands into (always >= 1).
 func (x *Expansion) Total() int { return x.total }
 
-// RunAt materializes run i in expansion order.
+// RunAt materializes run i in expansion order: the base config (Table 2
+// defaults under the spec's config) with each axis's patch decoded onto it
+// in sorted path order, then validated and content-addressed.
 func (x *Expansion) RunAt(i int) (Run, error) {
 	if i < 0 || i >= x.total {
 		return Run{}, fmt.Errorf("exp: run index %d out of range [0,%d)", i, x.total)
 	}
-	cfgDoc := deepCopy(x.base)
+	cfg := x.base
 	params := make(map[string]string, len(x.axes))
+	var err error
 	stride := x.total
 	for _, ax := range x.axes {
-		stride /= len(ax.vals)
-		j := (i / stride) % len(ax.vals)
-		if err := setPath(cfgDoc, ax.path, ax.vals[j]); err != nil {
-			return Run{}, err
-		}
+		stride /= len(ax.patches)
+		j := (i / stride) % len(ax.patches)
 		params[ax.path] = ax.labels[j]
+		if err == nil {
+			err = cfg.OverlayJSON(strings.NewReader(ax.patches[j]))
+		}
 	}
-	run, err := newRun(x.scn, x.scale, cfgDoc, params)
+	if err == nil {
+		err = cfg.Validate()
+	}
 	if err != nil {
 		if len(params) == 0 {
 			return Run{}, fmt.Errorf("exp: %w", err)
 		}
 		return Run{}, fmt.Errorf("exp: grid point %s: %w", FormatParams(params), err)
 	}
-	return run, nil
+	return newRun(x.scn, x.scale, cfg, params)
 }
 
-// newRun validates one concrete config document and computes the run's
-// content address.
-func newRun(scn scenario, scale figures.Scale, cfgDoc map[string]any, params map[string]string) (Run, error) {
-	cfgJSON, err := json.Marshal(cfgDoc)
-	if err != nil {
-		return Run{}, err
-	}
-	cfg, err := sim.FromJSON(cfgJSON)
-	if err != nil {
-		return Run{}, err
-	}
-	// The canonical document re-encodes the *decoded* config, so
-	// equivalent spellings of one value ("1e3" vs "1000", string vs
-	// ordinal enums) collapse to the same content address.
-	canonCfg, err := cfg.ToJSON()
-	if err != nil {
-		return Run{}, err
-	}
-	canonical, err := json.Marshal(map[string]any{
-		"scenario": scn.Name,
-		"scale":    scale.String(),
-		"config":   json.RawMessage(canonCfg),
-	})
+// newRun computes a validated run's content address: the hex SHA-256 of
+// {"config":…,"scale":…,"scenario":…}, keys in that sorted order. The
+// config encodes from the decoded struct, so equivalent spellings of one
+// value ("1e3" vs "1000", string vs ordinal enums) collapse to the same
+// address.
+func newRun(scn scenario, scale figures.Scale, cfg sim.Config, params map[string]string) (Run, error) {
+	canonical, err := json.Marshal(struct {
+		Config   sim.Config `json:"config"`
+		Scale    string     `json:"scale"`
+		Scenario string     `json:"scenario"`
+	}{cfg, scale.String(), scn.Name})
 	if err != nil {
 		return Run{}, err
 	}
@@ -365,30 +340,25 @@ func FormatParams(params map[string]string) string {
 	return strings.Join(parts, " ")
 }
 
-// defaultConfigDoc returns sim.DefaultConfig as a canonical document.
-func defaultConfigDoc() (map[string]any, error) {
-	data, err := sim.DefaultConfig().ToJSON()
+// canonicalJSON re-encodes one grid value in its label form: decoded with
+// number literals preserved, then marshaled (sorted object keys, the last
+// of duplicate keys, standard string escapes). A bare number literal is
+// already in that form and is returned as is.
+func canonicalJSON(raw []byte) ([]byte, error) {
+	if n := len(raw); n > 0 && (raw[0] == '-' || isDigit(raw[0])) && isDigit(raw[n-1]) && json.Valid(raw) {
+		return raw, nil
+	}
+	val, err := decodeValue(raw)
 	if err != nil {
 		return nil, err
 	}
-	return decodeDoc(data)
+	return json.Marshal(val)
 }
 
-// decodeDoc decodes a JSON object, preserving numbers as json.Number so
-// re-encoding does not round integers through float64.
-func decodeDoc(data []byte) (map[string]any, error) {
-	v, err := decodeValue(data)
-	if err != nil {
-		return nil, err
-	}
-	doc, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("want a JSON object, got %s", data)
-	}
-	return doc, nil
-}
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// decodeValue decodes any JSON value with number literals preserved.
+// decodeValue decodes any JSON value with number literals preserved, so a
+// grid label re-encodes a number exactly as it was written.
 func decodeValue(data []byte) (any, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
@@ -397,56 +367,4 @@ func decodeValue(data []byte) (any, error) {
 		return nil, err
 	}
 	return v, nil
-}
-
-// deepMerge overlays src onto dst: nested objects merge recursively,
-// everything else (including arrays) replaces wholesale.
-func deepMerge(dst, src map[string]any) {
-	//lint:ignore nodeterminism writes land on disjoint keys, so merge order commutes
-	for k, sv := range src {
-		if sm, ok := sv.(map[string]any); ok {
-			if dm, ok := dst[k].(map[string]any); ok {
-				deepMerge(dm, sm)
-				continue
-			}
-		}
-		dst[k] = sv
-	}
-}
-
-// deepCopy clones a document so grid points never alias each other.
-func deepCopy(doc map[string]any) map[string]any {
-	out := make(map[string]any, len(doc))
-	for k, v := range doc {
-		if m, ok := v.(map[string]any); ok {
-			out[k] = deepCopy(m)
-		} else {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// setPath assigns a value at a dot-separated field path, creating missing
-// intermediate objects (sim.FromJSON then rejects paths that do not name
-// real config fields).
-func setPath(doc map[string]any, path string, val any) error {
-	segs := strings.Split(path, ".")
-	cur := doc
-	for _, seg := range segs[:len(segs)-1] {
-		next, ok := cur[seg]
-		if !ok {
-			child := map[string]any{}
-			cur[seg] = child
-			cur = child
-			continue
-		}
-		child, ok := next.(map[string]any)
-		if !ok {
-			return fmt.Errorf("exp: grid field %q: %q is not a config section", path, seg)
-		}
-		cur = child
-	}
-	cur[segs[len(segs)-1]] = val
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/exp/fsio"
 	"repro/internal/metrics"
 	"repro/pkg/api"
 )
@@ -54,7 +55,7 @@ type Store struct {
 
 // NewStore opens (creating if needed) a store rooted at dir.
 func NewStore(dir string) (*Store, error) {
-	if err := ensureDir(dir); err != nil {
+	if err := fsio.EnsureDir(dir); err != nil {
 		return nil, fmt.Errorf("exp: store: %v", err)
 	}
 	return &Store{
@@ -108,7 +109,7 @@ func (s *Store) Get(_ context.Context, key string) (json.RawMessage, bool) {
 		s.met.Add(storeMisses, 1)
 		return nil, false
 	}
-	blob, ok := decodeRecord(storeMagic, data)
+	blob, ok := fsio.DecodeRecord(storeMagic, data)
 	if !ok {
 		// Dropping a corrupt entry is a durability decision just like
 		// publishing one: without the parent-directory fsync, a crash after
@@ -116,7 +117,7 @@ func (s *Store) Get(_ context.Context, key string) (json.RawMessage, bool) {
 		// refused, re-poisoning reads that the next Put was supposed to heal.
 		if err := os.Remove(path); err != nil {
 			s.met.Add(storeErrors, 1)
-		} else if err := syncDir(filepath.Dir(path)); err != nil {
+		} else if err := fsio.SyncDir(filepath.Dir(path)); err != nil {
 			s.met.Add(storeErrors, 1)
 		}
 		s.met.Add(storeCorrupt, 1)
@@ -149,13 +150,13 @@ func (s *Store) Put(_ context.Context, key string, blob json.RawMessage) {
 
 // write creates the entry file atomically in the key's fan-out directory.
 func (s *Store) write(path string, blob json.RawMessage) error {
-	if err := failpoint("store.write"); err != nil {
+	if err := fsio.Failpoint("store.write"); err != nil {
 		return err
 	}
-	if err := ensureDir(filepath.Dir(path)); err != nil {
+	if err := fsio.EnsureDir(filepath.Dir(path)); err != nil {
 		return err
 	}
-	return atomicWrite(path, encodeRecord(storeMagic, blob))
+	return fsio.AtomicWrite(path, fsio.EncodeRecord(storeMagic, blob))
 }
 
 // StoreStats is a point-in-time copy of the store counters, served on

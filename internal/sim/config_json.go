@@ -4,28 +4,41 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/cache"
 )
 
 // FromJSON decodes a Config from JSON, starting from DefaultConfig so a
-// document only needs to spell out the fields it overrides. Unknown fields
-// are rejected (with the offending field named) rather than silently
-// ignored, and the decoded config is validated — this is the entry point
-// the experiment engine and the HTTP service use, so every error message
-// must be actionable without reading Go source.
+// document only needs to spell out the fields it overrides, and validates
+// the result. Decoding goes through OverlayJSON, so every error message
+// names the offending field and is actionable without reading Go source.
 func FromJSON(data []byte) (Config, error) {
 	cfg := DefaultConfig()
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return Config{}, fmt.Errorf("sim: config: %w", prettyJSONError(err))
+	if err := cfg.OverlayJSON(bytes.NewReader(data)); err != nil {
+		return Config{}, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// OverlayJSON decodes one sparse JSON document onto c: the fields it names
+// are overwritten, nested objects descend into their sections and leave
+// the section's other fields alone, and JSON null changes nothing. Unknown
+// fields are rejected (with the offending field named) rather than
+// silently ignored. This is the config decoder of the experiment engine,
+// which layers a spec's overrides and then each grid point onto the Table
+// 2 defaults with it; c is not validated.
+func (c *Config) OverlayJSON(r io.Reader) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(c); err != nil {
+		return fmt.Errorf("sim: config: %w", prettyJSONError(err))
+	}
+	return nil
 }
 
 // ToJSON encodes the config. Go's encoding/json emits struct fields in

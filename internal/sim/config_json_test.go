@@ -120,3 +120,44 @@ func TestFromJSONErrorsNameFields(t *testing.T) {
 		})
 	}
 }
+
+// TestConfigIsPlainValue pins that a Config holds no slices, maps,
+// pointers or other references, so assigning one copies it completely:
+// the experiment engine layers every grid point onto its own copy of a
+// shared base config.
+func TestConfigIsPlainValue(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: copying a Config would share it", path, typ.Kind())
+		}
+	}
+	walk("Config", reflect.TypeOf(Config{}))
+}
+
+// TestOverlayJSONLayers checks that successive overlays compose: each
+// changes only the fields it names, nested sections included, and null
+// changes nothing.
+func TestOverlayJSONLayers(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, doc := range []string{`{"noise": {"seed": 5}}`, `{"noise": {"events_per_mcycle": 1.5}}`, `{"noise": null, "cores": null}`} {
+		if err := cfg.OverlayJSON(strings.NewReader(doc)); err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+	}
+	want := DefaultConfig()
+	want.Noise = NoiseConfig{EventsPerMCycle: 1.5, Seed: 5}
+	if cfg != want {
+		t.Fatalf("layered config %+v, want %+v", cfg, want)
+	}
+	if err := cfg.OverlayJSON(strings.NewReader(`{"noise": {"sed": 1}}`)); err == nil || !strings.Contains(err.Error(), `unknown field "sed"`) {
+		t.Fatalf("overlay with an unknown field = %v, want it named", err)
+	}
+}

@@ -53,11 +53,14 @@ const (
 // RunSpec is the declarative form of an experiment sweep, the request
 // body of POST /v1/run and POST /v1/jobs.
 //
-// Config is a sparse sim.Config document (snake_case fields) deep-merged
-// over the paper's Table 2 defaults. Grid maps dot-separated config field
-// paths — e.g. "llc_bytes" or "mem.defense" — to the list of values to
-// sweep; the server expands the Cartesian product of all grid fields into
-// concrete runs (sorted path order, last path fastest).
+// Config is a sparse sim.Config object (snake_case fields) layered onto
+// the paper's Table 2 defaults; each grid value is layered onto that in
+// turn. A layer overwrites only the fields it names (nested objects
+// descend into their sections, null changes nothing). Grid maps
+// dot-separated config field paths — e.g. "llc_bytes" or "mem.defense" —
+// to the list of values to sweep; the server expands the Cartesian product
+// of all grid fields into concrete runs (sorted path order, last path
+// fastest). docs/api.md spells out the layering rule.
 type RunSpec struct {
 	Scenario string                       `json:"scenario"`
 	Scale    string                       `json:"scale,omitempty"`
